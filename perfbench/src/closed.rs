@@ -1,89 +1,72 @@
-//! The closed-loop workloads (`large-fn`, `spec-suite`): each lane issues
+//! The closed-loop workloads (`large-fn`, `spec-suite`): each worker issues
 //! the next allocation as soon as the previous one returns.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ccra_regalloc::{allocate_program, AllocError, ProgramAllocation};
 
 use crate::gate::{self, Allocated, Verdict};
 use crate::report::Report;
-use crate::spans::{At, Recorder};
+use crate::spans::Recorder;
 use crate::stats::{geomean, loglog_slope, median, peak_rss_mb, quantile, thread_cpu_s, Rng};
-use crate::suite::{par_map, Cell, Family, SetupCost, Suite};
-use crate::traced::{layer_metrics, replay_program};
-use crate::{setup_metrics, Options, SLO_MS, WORKERS};
+use crate::suite::{par_map, par_pull, Family, SetupCost, Suite};
+use crate::traced::{finish_traced, trace_request, Request};
+use crate::{serve, setup_metrics, Options, SLO_MS, WORKERS};
 
-/// A coarse cost rank: instructions, with the families that exhaust the
-/// spill-round bound on large functions ranked first.
-fn cost_rank(cell: &Cell) -> usize {
-    let slow = matches!(cell.family, Family::Base | Family::Optimistic);
-    cell.instrs * if slow { 4 } else { 1 }
-}
+/// Every cell not marked [`crate::suite::Cell::once`] is timed at least
+/// this many times; its allocation time is the median.
+const MIN_SAMPLES: usize = 3;
 
-/// The cells in descending cost order, ties broken by a seed shuffle.
+/// The cells with those timed once (the costliest) first, then by size,
+/// ties broken by a seed shuffle.
 fn costliest_first(suite: &Suite, cells: &[usize], rng: &mut Rng) -> Vec<usize> {
     let mut order = cells.to_vec();
     rng.shuffle(&mut order);
-    order.sort_by_key(|&i| std::cmp::Reverse(cost_rank(&suite.cells[i])));
+    order.sort_by_key(|&i| {
+        let c = &suite.cells[i];
+        std::cmp::Reverse((c.once, c.instrs))
+    });
     order
-}
-
-/// Cells of programs below this size are cheap enough to sample many
-/// times in a pass.
-const CHEAP_INSTRS: usize = 600;
-
-/// The lanes of one timed pass. Without solo cells, one lane takes every
-/// cell in seed-shuffled order. Otherwise the solo cells get a lane of
-/// their own, and the other lane takes the remaining costly cells in a
-/// fixed costliest-first order with a seed-shuffled round of every cheap
-/// cell after each, so a cheap cell's samples spread over the whole pass.
-fn lanes(suite: &Suite, rng: &mut Rng) -> Vec<Vec<usize>> {
-    let mut all: Vec<usize> = (0..suite.cells.len()).collect();
-    if suite.solo.is_empty() {
-        rng.shuffle(&mut all);
-        return vec![all];
-    }
-    all.retain(|ci| !suite.solo.contains(ci));
-    all.sort_by_key(|&i| std::cmp::Reverse(cost_rank(&suite.cells[i])));
-    let (costly, mut cheap): (Vec<usize>, Vec<usize>) = all
-        .into_iter()
-        .partition(|&i| suite.cells[i].instrs >= CHEAP_INSTRS);
-    let mut lane = Vec::new();
-    for ci in costly {
-        lane.push(ci);
-        rng.shuffle(&mut cheap);
-        lane.extend(&cheap);
-    }
-    vec![suite.solo.clone(), lane]
 }
 
 fn allocated<'a>(suite: &'a Suite, ci: usize, out: &'a ProgramAllocation) -> Allocated<'a> {
     let cell = &suite.cells[ci];
-    Allocated {
-        label: format!("cell {ci} ({:?}, program {})", cell.family, cell.program),
-        program: &suite.programs[cell.program],
-        freq: &suite.freqs[cell.program],
-        rewritten: &out.program,
-        per_func: &out.per_func,
-    }
+    Allocated::of(
+        format!("cell {ci} ({:?}, program {})", cell.family, cell.program),
+        &suite.programs[cell.program],
+        &suite.freqs[cell.program],
+        out,
+    )
 }
 
-/// Counts every gate failure in the report.
-pub fn tally_failures(verdicts: &[Verdict], report: &mut Report) {
-    for p in verdicts.iter().flat_map(|v| &v.problems) {
-        report.fail(p.clone());
-    }
-}
-
-/// Records the quality metrics every workload shares (and tallies the
-/// gate's failures).
-pub fn quality_metrics(verdicts: &[Verdict], instrs_before: usize, report: &mut Report) {
-    tally_failures(verdicts, report);
+/// Records the allocation, checker and quality metrics every workload
+/// shares, from each allocated program's size, allocation seconds and gate
+/// verdict (and tallies the gate's failures).
+pub fn alloc_metrics(instrs: &[usize], alloc_s: &[f64], verdicts: &[Verdict], report: &mut Report) {
+    let per_s = |secs: &mut dyn Iterator<Item = f64>| {
+        let rates: Vec<f64> = instrs
+            .iter()
+            .zip(secs)
+            .map(|(&i, s)| i as f64 / s)
+            .collect();
+        geomean(&rates)
+    };
+    report.put(
+        "alloc_instrs_per_s",
+        per_s(&mut alloc_s.iter().copied()),
+        "instr/s",
+    );
+    let alloc_ms: Vec<f64> = alloc_s.iter().map(|s| s * 1e3).collect();
+    report.put("alloc_ms.p50", quantile(&alloc_ms, 0.5), "ms");
+    report.put("alloc_ms.p99", quantile(&alloc_ms, 0.99), "ms");
+    report.put(
+        "check_instrs_per_s",
+        per_s(&mut verdicts.iter().map(|v| v.check_s)),
+        "instr/s",
+    );
+    gate::tally(verdicts, report);
     let sum = |f: fn(&Verdict) -> usize| verdicts.iter().map(f).sum::<usize>();
-    let funcs = sum(|v| v.funcs);
-    let after = sum(|v| v.instrs_after);
-    let failed = sum(|v| usize::from(!v.problems.is_empty()));
+    let before: usize = instrs.iter().sum();
     report.put(
         "overhead_ops",
         verdicts.iter().map(|v| v.measured_ops).sum(),
@@ -91,32 +74,60 @@ pub fn quality_metrics(verdicts: &[Verdict], instrs_before: usize, report: &mut 
     );
     report.put(
         "code_growth_frac",
-        (after as f64 - instrs_before as f64) / instrs_before.max(1) as f64,
+        (sum(|v| v.instrs_after) as f64 - before as f64) / before.max(1) as f64,
         "frac",
     );
     report.put(
         "degraded_frac",
-        sum(|v| v.degraded) as f64 / funcs.max(1) as f64,
+        sum(|v| v.degraded) as f64 / sum(|v| v.funcs).max(1) as f64,
         "frac",
     );
     report.put(
         "check_fail_frac",
-        failed as f64 / verdicts.len().max(1) as f64,
+        sum(|v| usize::from(!v.problems.is_empty())) as f64 / verdicts.len().max(1) as f64,
         "frac",
     );
 }
 
-/// One timed sample of a cell, plus (on the cell's first sample of the
-/// run) its allocation and the checker's verdict on it.
+/// One timed allocation of a cell, plus (on the cell's first sample) its
+/// allocation and the checker's verdict on it.
 type Sample = (
     usize,
     f64,
     Option<Result<(ProgramAllocation, Verdict), AllocError>>,
 );
 
-fn run_lane(suite: &Suite, lane: &[usize], kept: &[AtomicBool]) -> Vec<Sample> {
-    lane.iter()
-        .map(|&ci| {
+/// The untraced run: timed passes over the cells on [`WORKERS`] threads,
+/// then the untimed interpreter replay. The first pass takes every cell,
+/// costliest first, and times the checker on each allocation; later passes
+/// take the cells not timed once, until [`MIN_SAMPLES`] passes are done and
+/// `--seconds` have passed. Allocation and checker calls are timed in
+/// thread CPU time.
+pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Report) {
+    let n = suite.cells.len();
+    let mut rng = Rng::new(opts.seed, 1);
+    let all: Vec<usize> = (0..n).collect();
+    let first = costliest_first(suite, &all, &mut rng);
+    let again: Vec<usize> = first
+        .iter()
+        .copied()
+        .filter(|&ci| !suite.cells[ci].once)
+        .collect();
+    let start = Instant::now();
+    let next = |i: usize| {
+        if i < n {
+            return Some((0, first[i]));
+        }
+        let k = i - n;
+        let pass = 1 + k / again.len().max(1);
+        let more = pass < MIN_SAMPLES || start.elapsed().as_secs_f64() < opts.seconds;
+        (more && !again.is_empty()).then(|| (pass, again[k % again.len()]))
+    };
+    let (results, _): (Vec<Sample>, _) = par_pull(
+        WORKERS,
+        next,
+        || (),
+        |_, _, (pass, ci)| {
             let cell = &suite.cells[ci];
             let t = thread_cpu_s();
             let out = allocate_program(
@@ -126,80 +137,30 @@ fn run_lane(suite: &Suite, lane: &[usize], kept: &[AtomicBool]) -> Vec<Sample> {
                 &cell.family.config(),
             );
             let secs = thread_cpu_s() - t;
-            // The checker runs on the lane right after the allocation, so
-            // it is timed in the same company.
-            let checked = (!kept[ci].swap(true, Ordering::SeqCst)).then(|| {
+            let checked = (pass == 0).then(|| {
                 out.map(|out| {
                     let verdict = gate::check(&allocated(suite, ci, &out), None);
                     (out, verdict)
                 })
             });
             (ci, secs, checked)
-        })
-        .collect()
-}
-
-/// The untraced run: timed passes over every cell (each kept allocation
-/// checked on its lane), then the untimed interpreter replay. Allocation
-/// and checker calls are timed in thread CPU time.
-pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Report) {
-    let n = suite.cells.len();
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut outs: Vec<Option<(ProgramAllocation, Verdict)>> = vec![None; n];
-    let kept: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let mut rng = Rng::new(opts.seed, 1);
-    let filler = (0..n)
-        .min_by_key(|&ci| suite.cells[ci].instrs)
-        .expect("a suite has cells");
-    let start = Instant::now();
-    let mut passes = 0;
-    while passes == 0 || start.elapsed().as_secs_f64() < opts.seconds {
-        let lanes = lanes(suite, &mut rng);
-        let shared = lanes.len() > 1;
-        let busy = AtomicUsize::new(lanes.len());
-        let results: Vec<Sample> = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .map(|lane| {
-                    let (busy, kept) = (&busy, &kept);
-                    scope.spawn(move || {
-                        let out = run_lane(suite, lane, kept);
-                        busy.fetch_sub(1, Ordering::SeqCst);
-                        // A lane that finishes early keeps its core busy
-                        // with untimed allocations, so every timed cell
-                        // shares the machine with the same load.
-                        while shared && busy.load(Ordering::SeqCst) > 0 {
-                            let cell = &suite.cells[filler];
-                            let _ = std::hint::black_box(allocate_program(
-                                &suite.programs[cell.program],
-                                &suite.freqs[cell.program],
-                                cell.file,
-                                &cell.family.config(),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("benchmark lanes do not panic"))
-                .collect()
-        });
-        for (ci, secs, checked) in results {
-            samples[ci].push(secs);
-            match checked {
-                Some(Ok(done)) => outs[ci] = Some(done),
-                Some(Err(e)) => report.fail(format!("cell {ci}: allocation failed: {e}")),
-                None => {}
-            }
-        }
-        passes += 1;
-    }
+        },
+    );
     println!(
-        "passes {passes} over {n} cells in {:.3} s",
+        "{} allocations over {n} cells in {:.3} s",
+        results.len(),
         start.elapsed().as_secs_f64()
     );
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut outs: Vec<Option<(ProgramAllocation, Verdict)>> = vec![None; n];
+    for (ci, secs, checked) in results {
+        samples[ci].push(secs);
+        match checked {
+            Some(Ok(done)) => outs[ci] = Some(done),
+            Some(Err(e)) => report.fail(format!("cell {ci}: allocation failed: {e}")),
+            None => {}
+        }
+    }
 
     let gated: Vec<usize> = (0..n).filter(|&ci| outs[ci].is_some()).collect();
     let order = costliest_first(suite, &gated, &mut Rng::new(opts.seed, 2));
@@ -226,43 +187,14 @@ pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Rep
     report.attempted = n as u64;
 
     let alloc_s: Vec<f64> = gated.iter().map(|&ci| median(&samples[ci])).collect();
-    let instrs: Vec<f64> = gated
-        .iter()
-        .map(|&ci| suite.cells[ci].instrs as f64)
-        .collect();
+    let instrs: Vec<usize> = gated.iter().map(|&ci| suite.cells[ci].instrs).collect();
     let e2e_ms: Vec<f64> = alloc_s
         .iter()
         .zip(&verdicts)
         .map(|(a, v)| (a + v.check_s) * 1e3)
         .collect();
     setup_metrics(setups, report);
-    report.put(
-        "alloc_instrs_per_s",
-        geomean(
-            &instrs
-                .iter()
-                .zip(&alloc_s)
-                .map(|(i, s)| i / s)
-                .collect::<Vec<_>>(),
-        ),
-        "instr/s",
-    );
-    let alloc_ms: Vec<f64> = alloc_s.iter().map(|s| s * 1e3).collect();
-    report.put("alloc_ms.p50", quantile(&alloc_ms, 0.5), "ms");
-    report.put("alloc_ms.p99", quantile(&alloc_ms, 0.99), "ms");
-    report.put(
-        "check_instrs_per_s",
-        geomean(
-            &instrs
-                .iter()
-                .zip(&verdicts)
-                .map(|(i, v)| i / v.check_s)
-                .collect::<Vec<_>>(),
-        ),
-        "instr/s",
-    );
-    let before: usize = gated.iter().map(|&ci| suite.cells[ci].instrs).sum();
-    quality_metrics(&verdicts, before, report);
+    alloc_metrics(&instrs, &alloc_s, &verdicts, report);
     report.put(
         "alloc_growth_exp",
         growth_by_family(suite, &gated, &alloc_s),
@@ -299,13 +231,6 @@ fn growth_by_family(suite: &Suite, cells: &[usize], alloc_s: &[f64]) -> f64 {
     median(&slopes)
 }
 
-/// What one traced worker thread keeps besides its spans.
-struct Worker {
-    rec: Recorder,
-    last_end: Option<Instant>,
-    gaps_ms: Vec<f64>,
-}
-
 /// The traced run: every cell once through the outside replay (with the
 /// library's own result as the equality reference) and the gate, under
 /// spans.
@@ -318,149 +243,26 @@ pub fn run_traced(
     let epoch = Instant::now();
     let all: Vec<usize> = (0..suite.cells.len()).collect();
     let order = costliest_first(suite, &all, &mut Rng::new(opts.seed, 1));
-    let (results, workers) = par_map(
+    let (traced, recs) = par_map(
         WORKERS,
         &order,
-        || Worker {
-            rec: Recorder::new(epoch),
-            last_end: None,
-            gaps_ms: Vec::new(),
-        },
-        |w, _, &ci| {
-            if let Some(end) = w.last_end {
-                w.gaps_ms.push(end.elapsed().as_secs_f64() * 1e3);
-            }
+        || Recorder::new(epoch),
+        |rec, _, &ci| {
             let cell = &suite.cells[ci];
-            let at = At {
-                req: ci as u64,
-                func: 0,
-                round: 0,
-                size: cell.instrs as u64,
-                parent: None,
+            let request = Request {
+                label: format!("cell {ci}"),
+                program: &suite.programs[cell.program],
+                freq: &suite.freqs[cell.program],
+                expected: &suite.expected[cell.program],
+                file: &cell.file,
+                config: cell.family.config(),
+                profiled: suite.profiled,
             };
-            let root = w.rec.open("request", at);
-            let at = at.under(root);
-            let replay = replay_program(
-                &suite.programs[cell.program],
-                &suite.freqs[cell.program],
-                &cell.file,
-                &cell.family.config(),
-                &mut w.rec,
-                at,
-            );
-            let verdict = replay.as_ref().ok().map(|r| {
-                let a = Allocated {
-                    label: format!("cell {ci}"),
-                    program: &suite.programs[cell.program],
-                    freq: &suite.freqs[cell.program],
-                    rewritten: &r.rewritten,
-                    per_func: &r.per_func,
-                };
-                let mut v = gate::check(&a, Some((&mut w.rec, at)));
-                let expected = &suite.expected[cell.program];
-                gate::replay(&a, expected, r.weighted, suite.profiled, &mut v);
-                v
-            });
-            w.rec.close(root);
-            w.last_end = Some(Instant::now());
-            (ci, replay, verdict)
+            trace_request(rec, ci as u64, request)
         },
     );
-    let wall = epoch.elapsed().as_secs_f64();
-    let mut rec = Recorder::new(epoch);
-    let mut gaps_ms = Vec::new();
-    for w in workers {
-        rec.absorb(w.rec);
-        gaps_ms.extend(w.gaps_ms);
-    }
-    let mut reference_s = 0.0;
-    let mut service_ms = Vec::new();
-    let mut verdicts = Vec::new();
-    for (ci, replay, verdict) in results {
-        report.attempted += 1;
-        match replay {
-            Ok(r) => {
-                reference_s += r.reference_s;
-                service_ms.push(r.reference_s * 1e3);
-                for m in r.mismatches {
-                    report.fail(format!("cell {ci}: {m}"));
-                }
-            }
-            Err(e) => report.fail(format!("cell {ci}: allocation failed: {e}")),
-        }
-        verdicts.extend(verdict);
-    }
-    tally_failures(&verdicts, report);
-    rec.add(
-        "regalloc.check.violations",
-        verdicts.iter().map(|v| v.violations as f64).sum(),
-    );
-    layer_metrics(&rec, reference_s, report);
-    setup_layer_metrics(setups, report);
-    // The closed loop is its own driver: a request is served the moment a
-    // worker is free, so nothing queues and lateness is the hand-off gap.
-    report.put(
-        "regalloc.driver.service_ms.p50",
-        quantile(&service_ms, 0.5),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.service_ms.p99",
-        quantile(&service_ms, 0.99),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.queue_ms.p50",
-        quantile(&gaps_ms, 0.5),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.queue_ms.p99",
-        quantile(&gaps_ms, 0.99),
-        "ms",
-    );
-    report.put("regalloc.driver.queue_depth.max", 0.0, "count");
-    report.put(
-        "regalloc.driver.busy_frac",
-        rec.busy("request") / (wall * WORKERS as f64),
-        "frac",
-    );
-    report.put("loadgen.lateness_ms.p99", quantile(&gaps_ms, 0.99), "ms");
-    report.put("loadgen.poll_us.p50", clock_read_us(), "us");
-    for (name, unit) in [
-        ("hits", "count"),
-        ("misses", "count"),
-        ("hit_frac", "frac"),
-        ("evictions", "count"),
-        ("bytes", "bytes"),
-    ] {
-        report.put(format!("regalloc.cache.{name}"), 0.0, unit);
-    }
+    report.attempted = traced.len() as u64;
+    let rec = finish_traced(epoch, recs, traced, setups, report);
+    serve::not_served(report);
     rec
-}
-
-/// The median cost of one clock read, in µs: how finely a synchronous
-/// caller observes completion.
-fn clock_read_us() -> f64 {
-    let reads: Vec<f64> = (0..1001)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(Instant::now());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    median(&reads)
-}
-
-/// The set-up layers' metrics: medians over the run's set-ups.
-pub fn setup_layer_metrics(setups: &[SetupCost], report: &mut Report) {
-    let med = |f: fn(&SetupCost) -> f64| median(&setups.iter().map(f).collect::<Vec<_>>());
-    report.put("workloads.gen_s", med(|s| s.gen_s), "s");
-    report.put("analysis.freq.busy_s", med(|s| s.freq_s), "s");
-    report.put("analysis.interp.busy_s", med(|s| s.interp_s), "s");
-    report.put(
-        "analysis.interp.steps",
-        med(|s| s.interp_steps as f64),
-        "count",
-    );
 }

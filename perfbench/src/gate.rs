@@ -8,8 +8,11 @@
 
 use ccra_analysis::{FrequencyInfo, InterpConfig, Value};
 use ccra_ir::Program;
-use ccra_regalloc::{check_allocation, measured_overhead, FuncAllocation, Overhead};
+use ccra_regalloc::{
+    check_allocation, measured_overhead, FuncAllocation, Overhead, ProgramAllocation,
+};
 
+use crate::report::Report;
 use crate::spans::{At, Recorder};
 use crate::stats::thread_cpu_s;
 use crate::suite::same_value;
@@ -45,6 +48,31 @@ pub struct Allocated<'a> {
     pub rewritten: &'a Program,
     /// Per-function results, by function id.
     pub per_func: &'a [FuncAllocation],
+}
+
+impl<'a> Allocated<'a> {
+    /// The library's allocation `out` of `program`.
+    pub fn of(
+        label: String,
+        program: &'a Program,
+        freq: &'a FrequencyInfo,
+        out: &'a ProgramAllocation,
+    ) -> Self {
+        Allocated {
+            label,
+            program,
+            freq,
+            rewritten: &out.program,
+            per_func: &out.per_func,
+        }
+    }
+}
+
+/// Counts every gate failure in the report.
+pub fn tally(verdicts: &[Verdict], report: &mut Report) {
+    for p in verdicts.iter().flat_map(|v| &v.problems) {
+        report.fail(p.clone());
+    }
 }
 
 /// Runs the checker on every function, timing it; with a recorder, each

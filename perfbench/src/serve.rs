@@ -19,38 +19,56 @@ use ccra_regalloc::{
 };
 use ccra_workloads::{random_program, FuzzConfig};
 
-use crate::closed::{quality_metrics, setup_layer_metrics, tally_failures};
+use crate::closed::alloc_metrics;
 use crate::gate::{self, Allocated, Verdict};
 use crate::report::Report;
-use crate::spans::{At, Recorder};
-use crate::stats::{geomean, loglog_slope, median, peak_rss_mb, quantile, thread_cpu_s, Rng};
+use crate::spans::Recorder;
+use crate::stats::{loglog_slope, median, peak_rss_mb, quantile, thread_cpu_s, Rng};
 use crate::suite::{par_map, Family, SetupCost};
-use crate::traced::{layer_metrics, replay_program};
+use crate::traced::{finish_traced, trace_request, Request};
 use crate::{setup_metrics, Options, SLO_MS, WORKERS};
 
-/// Requests per second offered. The worker is busy about a quarter of the
-/// time, so queues form behind the large functions while the median
-/// request still finds the worker free. At 70 requests/s (about 40% busy)
-/// the median already sat on the queueing knee: time the shared host stole
+/// Requests per second offered: the worker is busy about a quarter of the
+/// time (measured), so queues form behind the large functions while the
+/// median request still finds the worker free. At about 40% busy the
+/// median already sat on the queueing knee: time the shared host stole
 /// from the worker tripled it in some runs.
 pub const RATE_PER_S: f64 = 40.0;
-/// Share of requests that resubmit an earlier program byte for byte.
-pub const REPEAT_FRAC: f64 = 0.4;
-/// Resubmissions pick among this many most recent fresh programs, about
-/// half the cache budget's worth, so most read the cache while the fresh
-/// stream keeps evicting older entries.
-pub const REPEAT_WINDOW: usize = 64;
-/// One fresh program in this many is a ~480-instruction function; the
-/// rest are small three-function programs.
-pub const TAIL_EVERY: usize = 20;
-/// The cache budget: well below the working set of fresh programs, so
-/// older entries are evicted and some resubmissions miss.
+/// Share of requests that resubmit an earlier request's program byte for
+/// byte, each picking a uniformly chosen earlier request: the share and
+/// rule of the repository's resubmission smoke test (`loadgen --rerun 30`,
+/// `eval::traffic::job_stream`).
+pub const REPEAT_FRAC: f64 = 0.3;
+/// Fresh programs come in blocks of this many, one per rank of the size
+/// table (see [`stmts_of_rank`]).
+pub const BLOCK: usize = 20;
+/// The largest function, in generator statements (about 480
+/// instructions).
+pub const MAX_STMTS: usize = 200;
+/// The shape of the bounded Pareto size distribution, the one the
+/// repository's load generator draws job sizes from
+/// (`eval::traffic::Rng::pareto`).
+const PARETO_SHAPE: f64 = 1.5;
+/// The cache budget: below the bytes the stream's fresh programs would
+/// keep resident, so entries are evicted and some resubmissions miss.
 pub const CACHE_BUDGET_BYTES: u64 = 4 << 20;
+/// Latency quantiles are taken per window of this many seconds of due
+/// times, and the run reports their median over the windows, so a burst of
+/// interference from outside the benchmark moves one window, not the run.
+const WINDOW_S: f64 = 2.0;
 /// How long after the last due time unfinished requests may still
 /// complete before they count as unfinished.
 const DRAIN_LIMIT: Duration = Duration::from_secs(5);
 /// The generator's idle sleep between polls.
 const POLL_SLEEP: Duration = Duration::from_micros(100);
+
+/// The size, in generator statements, of the rank-`rank` function of a
+/// block: the block's quantiles of a bounded Pareto distribution whose top
+/// quantile is [`MAX_STMTS`]. With 20 ranks: 200, 96, 68, 55, 46, … 17.
+pub fn stmts_of_rank(rank: usize) -> usize {
+    let q = (2 * rank + 1) as f64;
+    (MAX_STMTS as f64 * q.powf(-1.0 / PARETO_SHAPE)).round() as usize
+}
 
 /// One distinct program the stream can send.
 pub struct Entry {
@@ -75,27 +93,20 @@ pub struct Stream {
     pub requests: Vec<(Duration, usize)>,
 }
 
-/// Builds the pool entry `i`: fixed generator seeds, so every stream seed
-/// draws from the same programs.
+/// Builds the pool entry `i`: a one-function program of the size of rank
+/// `i % BLOCK`, from fixed generator seeds, so every stream seed draws from
+/// the same programs. Families rotate, so each block's largest function is
+/// allocated by the improved allocator.
 fn entry(i: usize) -> (Program, Family) {
-    if i.is_multiple_of(TAIL_EVERY) {
-        let config = FuzzConfig {
-            functions: 1,
-            stmts_per_fn: 200,
-            ..FuzzConfig::default()
-        };
-        (random_program(20_000 + i as u64, &config), Family::Improved)
-    } else {
-        let config = FuzzConfig {
-            functions: 3,
-            stmts_per_fn: 20,
-            ..FuzzConfig::default()
-        };
-        (
-            random_program(10_000 + i as u64, &config),
-            Family::FIVE[i % Family::FIVE.len()],
-        )
-    }
+    let config = FuzzConfig {
+        functions: 1,
+        stmts_per_fn: stmts_of_rank(i % BLOCK),
+        ..FuzzConfig::default()
+    };
+    (
+        random_program(10_000 + i as u64, &config),
+        Family::FIVE[i % Family::FIVE.len()],
+    )
 }
 
 /// Set-up: the pool and the seed's schedule for a `seconds`-long stream.
@@ -134,12 +145,11 @@ pub fn setup(seed: u64, seconds: f64) -> (Stream, SetupCost) {
     let interp_s = thread_cpu_s() - t;
 
     // The schedule: arrivals at a fixed interval, each a fresh program or
-    // a resubmission of one of the last `REPEAT_WINDOW` fresh ones, mixed
-    // in a seed-shuffled order (the first request is fresh). Fresh
-    // programs go out in seed-shuffled blocks of `TAIL_EVERY` that each
-    // open with their large function, so large functions never arrive
-    // back to back and runs differ by arrangement, not by how the tail
-    // clusters.
+    // a resubmission of a uniformly chosen earlier request, mixed in a
+    // seed-shuffled order (the first request is fresh). Fresh programs go
+    // out in seed-shuffled blocks that each open with their largest
+    // function, so large functions never arrive back to back and runs
+    // differ by arrangement, not by how the tail clusters.
     let mut rng = Rng::new(seed, 3);
     let mut kinds: Vec<bool> = (0..total).map(|k| k < repeats).collect();
     rng.shuffle(&mut kinds);
@@ -148,7 +158,7 @@ pub fn setup(seed: u64, seconds: f64) -> (Stream, SetupCost) {
     }
     let mut blocks: Vec<Vec<usize>> = (0..fresh)
         .collect::<Vec<_>>()
-        .chunks(TAIL_EVERY)
+        .chunks(BLOCK)
         .map(<[usize]>::to_vec)
         .collect();
     rng.shuffle(&mut blocks);
@@ -157,16 +167,15 @@ pub fn setup(seed: u64, seconds: f64) -> (Stream, SetupCost) {
         rng.shuffle(&mut block[1..]);
         fresh_order.extend(block);
     }
-    let mut sent: Vec<usize> = Vec::new();
-    let mut requests = Vec::with_capacity(total);
+    let mut fresh_order = fresh_order.into_iter();
+    let mut requests: Vec<(Duration, usize)> = Vec::with_capacity(total);
     for (k, repeat) in kinds.into_iter().enumerate() {
         let idx = if repeat {
-            let window = sent.len().min(REPEAT_WINDOW);
-            sent[sent.len() - 1 - rng.below(window)]
+            requests[rng.below(k)].1
         } else {
-            let idx = fresh_order[sent.len()];
-            sent.push(idx);
-            idx
+            fresh_order
+                .next()
+                .expect("one fresh program per fresh request")
         };
         requests.push((Duration::from_secs_f64(k as f64 / RATE_PER_S), idx));
     }
@@ -332,14 +341,58 @@ fn first_results<'a>(
     first
 }
 
-fn allocated<'a>(e: &'a Entry, idx: usize, alloc: &'a ProgramAllocation) -> Allocated<'a> {
-    Allocated {
-        label: format!("pool entry {idx}"),
-        program: &e.program,
-        freq: &e.freq,
-        rewritten: &alloc.program,
-        per_func: &alloc.per_func,
+fn allocated<'a>(stream: &'a Stream, i: usize, alloc: &'a ProgramAllocation) -> Allocated<'a> {
+    let e = &stream.pool[i];
+    Allocated::of(format!("pool entry {i}"), &e.program, &e.freq, alloc)
+}
+
+/// The median over [`WINDOW_S`] windows of due times of each window's
+/// `q`-quantile of `(due offset s, latency ms)` samples.
+fn windowed(samples: &[(f64, f64)], q: f64) -> f64 {
+    let mut windows: Vec<Vec<f64>> = Vec::new();
+    for &(at, ms) in samples {
+        let w = (at / WINDOW_S) as usize;
+        if windows.len() <= w {
+            windows.resize(w + 1, Vec::new());
+        }
+        windows[w].push(ms);
     }
+    let per_window: Vec<f64> = windows
+        .iter()
+        .filter(|w| !w.is_empty())
+        .map(|w| quantile(w, q))
+        .collect();
+    median(&per_window)
+}
+
+/// Records the cache's counters.
+fn cache_metrics(c: &ccra_regalloc::CacheStats, report: &mut Report) {
+    report.put("regalloc.cache.hits", c.hits as f64, "count");
+    report.put("regalloc.cache.misses", c.misses as f64, "count");
+    report.put("regalloc.cache.hit_frac", c.hit_rate(), "frac");
+    report.put("regalloc.cache.evictions", c.evictions as f64, "count");
+    report.put("regalloc.cache.bytes", c.bytes as f64, "bytes");
+}
+
+/// The serving-layer metrics of the traced run, with their units.
+const SERVING: [(&str, &str); 8] = [
+    ("regalloc.driver.service_ms.p50", "ms"),
+    ("regalloc.driver.service_ms.p99", "ms"),
+    ("regalloc.driver.queue_ms.p50", "ms"),
+    ("regalloc.driver.queue_ms.p99", "ms"),
+    ("regalloc.driver.queue_depth.max", "count"),
+    ("regalloc.driver.busy_frac", "frac"),
+    ("loadgen.lateness_ms.p99", "ms"),
+    ("loadgen.poll_us.p50", "us"),
+];
+
+/// Records the serving and cache layer metrics as 0 for a workload that
+/// bypasses the service.
+pub fn not_served(report: &mut Report) {
+    for (name, unit) in SERVING {
+        report.put(name, 0.0, unit);
+    }
+    cache_metrics(&ccra_regalloc::CacheStats::default(), report);
 }
 
 /// Runs the stream and records the end-to-end metrics (or, traced, the
@@ -356,25 +409,23 @@ pub fn run(
     let mut e2e_ms = Vec::with_capacity(n);
     let mut met = 0;
     let mut failed = 0;
-    for s in &out.seen {
+    for (s, &(offset, _)) in out.seen.iter().zip(&stream.requests) {
         let result = s.id.and_then(|id| out.results.get(&id));
         let ok = matches!(
             result.map(|r| &r.status),
             Some(BatchStatus::Ok | BatchStatus::Degraded { .. })
         );
-        match s.done {
-            Some(done) if ok => {
-                let ms = (done - s.due).as_secs_f64() * 1e3;
-                met += usize::from(ms <= SLO_MS);
-                e2e_ms.push(ms);
-            }
+        let ms = match s.done {
+            Some(done) if ok => (done - s.due).as_secs_f64() * 1e3,
             // A failed or unfinished request counts as waiting until the
             // generator gave up on it.
             _ => {
                 failed += 1;
-                e2e_ms.push((out.end - s.due).as_secs_f64() * 1e3);
+                (out.end - s.due).as_secs_f64() * 1e3
             }
-        }
+        };
+        met += usize::from(ok && ms <= SLO_MS);
+        e2e_ms.push((offset.as_secs_f64(), ms));
     }
     if failed > 0 {
         report.fail_many(
@@ -386,6 +437,18 @@ pub fn run(
     let fresh: Vec<usize> = (0..stream.pool.len())
         .filter(|&i| first[i].is_some())
         .collect();
+    let large = stream
+        .requests
+        .iter()
+        .filter(|&&(_, i)| i % BLOCK == 0)
+        .count();
+    println!(
+        "stream: {n} requests in {} latency windows, {} fresh, {large} of a \
+         {MAX_STMTS}-statement function",
+        (n as f64 / RATE_PER_S / WINDOW_S).ceil(),
+        fresh.len(),
+    );
+    cache_metrics(&out.cache, report);
 
     if opts.trace {
         return Some(traced(stream, setups, &out, &first, &fresh, report));
@@ -410,7 +473,7 @@ pub fn run(
                 &e.family.config(),
             );
             let secs = thread_cpu_s() - t;
-            let mut v = gate::check(&allocated(e, i, served(i)), None);
+            let mut v = gate::check(&allocated(stream, i, served(i)), None);
             if own.as_ref().ok() != Some(served(i)) {
                 v.problems.push(format!(
                     "pool entry {i}: the service's allocation differs from allocate_program's"
@@ -424,12 +487,11 @@ pub fn run(
         &fresh,
         || (),
         |_, k, &i| {
-            let e = &stream.pool[i];
             let alloc = served(i);
             let mut v = checked[k].clone();
             gate::replay(
-                &allocated(e, i, alloc),
-                &e.expected,
+                &allocated(stream, i, alloc),
+                &stream.pool[i].expected,
                 alloc.overhead,
                 true,
                 &mut v,
@@ -437,51 +499,17 @@ pub fn run(
             v
         },
     );
-    let instrs: Vec<f64> = fresh
-        .iter()
-        .map(|&i| stream.pool[i].instrs as f64)
-        .collect();
+    let instrs: Vec<usize> = fresh.iter().map(|&i| stream.pool[i].instrs).collect();
     setup_metrics(setups, report);
-    report.put(
-        "alloc_instrs_per_s",
-        geomean(
-            &instrs
-                .iter()
-                .zip(&alloc_s)
-                .map(|(i, s)| i / s)
-                .collect::<Vec<_>>(),
-        ),
-        "instr/s",
-    );
-    let alloc_ms: Vec<f64> = alloc_s.iter().map(|s| s * 1e3).collect();
-    report.put("alloc_ms.p50", quantile(&alloc_ms, 0.5), "ms");
-    report.put("alloc_ms.p99", quantile(&alloc_ms, 0.99), "ms");
-    report.put(
-        "check_instrs_per_s",
-        geomean(
-            &instrs
-                .iter()
-                .zip(&verdicts)
-                .map(|(i, v)| i / v.check_s)
-                .collect::<Vec<_>>(),
-        ),
-        "instr/s",
-    );
-    let before: usize = fresh.iter().map(|&i| stream.pool[i].instrs).sum();
-    quality_metrics(&verdicts, before, report);
-    report.put(
-        "alloc_growth_exp",
-        loglog_slope(
-            &instrs
-                .iter()
-                .copied()
-                .zip(alloc_s.iter().copied())
-                .collect::<Vec<_>>(),
-        ),
-        "exp",
-    );
-    report.put("e2e_ms.p50", quantile(&e2e_ms, 0.5), "ms");
-    report.put("e2e_ms.p99", quantile(&e2e_ms, 0.99), "ms");
+    alloc_metrics(&instrs, &alloc_s, &verdicts, report);
+    let growth: Vec<(f64, f64)> = instrs
+        .iter()
+        .map(|&i| i as f64)
+        .zip(alloc_s.iter().copied())
+        .collect();
+    report.put("alloc_growth_exp", loglog_slope(&growth), "exp");
+    report.put("e2e_ms.p50", windowed(&e2e_ms, 0.5), "ms");
+    report.put("e2e_ms.p99", windowed(&e2e_ms, 0.99), "ms");
     report.put("slo_met_frac", met as f64 / n as f64, "frac");
     report.put("failed_frac", failed as f64 / n as f64, "frac");
     report.put("peak_rss_mb", peak_rss_mb(), "MiB");
@@ -499,76 +527,36 @@ fn traced(
     report: &mut Report,
 ) -> Recorder {
     let epoch = Instant::now();
-    let (replays, recs) = par_map(
+    let file = RegisterFile::mips_full();
+    let (traced, recs) = par_map(
         WORKERS,
         fresh,
         || Recorder::new(epoch),
         |rec, _, &i| {
             let e = &stream.pool[i];
-            let at = At {
-                req: i as u64,
-                func: 0,
-                round: 0,
-                size: e.instrs as u64,
-                parent: None,
+            let request = Request {
+                label: format!("pool entry {i}"),
+                program: &e.program,
+                freq: &e.freq,
+                expected: &e.expected,
+                file: &file,
+                config: e.family.config(),
+                profiled: true,
             };
-            let root = rec.open("request", at);
-            let at = at.under(root);
-            let replay = replay_program(
-                &e.program,
-                &e.freq,
-                &RegisterFile::mips_full(),
-                &e.family.config(),
-                rec,
-                at,
-            );
-            let verdict = replay.as_ref().ok().map(|r| {
-                let a = Allocated {
-                    label: format!("pool entry {i}"),
-                    program: &e.program,
-                    freq: &e.freq,
-                    rewritten: &r.rewritten,
-                    per_func: &r.per_func,
-                };
-                let mut v = gate::check(&a, Some((&mut *rec, at)));
-                gate::replay(&a, &e.expected, r.weighted, true, &mut v);
-                v
-            });
-            rec.close(root);
-            (i, replay, verdict)
+            trace_request(rec, i as u64, request)
         },
     );
-    let mut rec = Recorder::new(epoch);
-    for r in recs {
-        rec.absorb(r);
-    }
-    let mut reference_s = 0.0;
-    let mut verdicts = Vec::new();
-    for (i, replay, verdict) in replays {
-        match replay {
-            Ok(r) => {
-                reference_s += r.reference_s;
-                for m in r.mismatches {
-                    report.fail(format!("pool entry {i}: {m}"));
-                }
-                let served = first[i].and_then(|b| b.allocation.as_ref());
-                if served.map(|a| (&a.program, &a.per_func)) != Some((&r.rewritten, &r.per_func)) {
-                    report.fail(format!(
-                        "pool entry {i}: the service's allocation differs from the library's"
-                    ));
-                }
+    for (&i, t) in fresh.iter().zip(&traced) {
+        let served = first[i].and_then(|b| b.allocation.as_ref());
+        if let Ok(r) = &t.replay {
+            if served.map(|a| (&a.program, &a.per_func)) != Some((&r.rewritten, &r.per_func)) {
+                report.fail(format!(
+                    "pool entry {i}: the service's allocation differs from the library's"
+                ));
             }
-            Err(e) => report.fail(format!("pool entry {i}: allocation failed: {e}")),
         }
-        verdicts.extend(verdict);
     }
-    tally_failures(&verdicts, report);
-    rec.add(
-        "regalloc.check.violations",
-        verdicts.iter().map(|v| v.violations as f64).sum(),
-    );
-    layer_metrics(&rec, reference_s, report);
-    setup_layer_metrics(setups, report);
+    let rec = finish_traced(epoch, recs, traced, setups, report);
 
     let mut service_ms = Vec::new();
     let mut queue_ms = Vec::new();
@@ -582,47 +570,67 @@ fn traced(
         service_ms.push(service);
         queue_ms.push(((done - s.submitted).as_secs_f64() * 1e3 - service).max(0.0));
     }
-    report.put(
-        "regalloc.driver.service_ms.p50",
+    let values = [
         quantile(&service_ms, 0.5),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.service_ms.p99",
         quantile(&service_ms, 0.99),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.queue_ms.p50",
         quantile(&queue_ms, 0.5),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.queue_ms.p99",
         quantile(&queue_ms, 0.99),
-        "ms",
-    );
-    report.put(
-        "regalloc.driver.queue_depth.max",
         out.queue_depth_max as f64,
-        "count",
-    );
-    report.put(
-        "regalloc.driver.busy_frac",
         service_ms.iter().sum::<f64>() * 1e-3 / out.wall_s,
-        "frac",
-    );
-    report.put(
-        "loadgen.lateness_ms.p99",
         quantile(&lateness_ms, 0.99),
-        "ms",
-    );
-    report.put("loadgen.poll_us.p50", median(&out.poll_gaps_us), "us");
-    let c = &out.cache;
-    report.put("regalloc.cache.hits", c.hits as f64, "count");
-    report.put("regalloc.cache.misses", c.misses as f64, "count");
-    report.put("regalloc.cache.hit_frac", c.hit_rate(), "frac");
-    report.put("regalloc.cache.evictions", c.evictions as f64, "count");
-    report.put("regalloc.cache.bytes", c.bytes as f64, "bytes");
+        median(&out.poll_gaps_us),
+    ];
+    for ((name, unit), value) in SERVING.into_iter().zip(values) {
+        report.put(name, value, unit);
+    }
     rec
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_sizes_are_pareto_quantiles_capped_at_the_tail_size() {
+        let sizes: Vec<usize> = (0..BLOCK).map(stmts_of_rank).collect();
+        assert_eq!(sizes[..5], [200, 96, 68, 55, 46]);
+        assert_eq!(sizes[BLOCK - 1], 17);
+        assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn latency_quantiles_are_window_medians() {
+        // Three windows; the middle one holds a burst that moves only it.
+        let samples = [
+            (0.1, 1.0),
+            (0.2, 3.0),
+            (2.5, 100.0),
+            (2.6, 300.0),
+            (4.1, 2.0),
+            (4.2, 4.0),
+        ];
+        assert_eq!(windowed(&samples, 0.5), 3.0);
+        assert_eq!(windowed(&samples, 1.0), 4.0);
+        assert_eq!(windowed(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn schedules_are_a_function_of_the_seed() {
+        let (stream, _) = setup(5, 2.0);
+        assert_eq!(stream.requests, setup(5, 2.0).0.requests);
+        assert_ne!(stream.requests, setup(6, 2.0).0.requests);
+        // 80 requests: 56 fresh, each pool entry once, and 24 resent.
+        assert_eq!(stream.pool.len(), 56);
+        let mut sent = vec![0; stream.pool.len()];
+        for &(_, i) in &stream.requests {
+            sent[i] += 1;
+        }
+        assert!(sent.iter().all(|&n| n >= 1));
+        assert_eq!(sent.iter().sum::<usize>(), 80);
+        assert_eq!(
+            stream.requests[0].1 % BLOCK,
+            0,
+            "a block's largest goes first"
+        );
+    }
 }

@@ -61,6 +61,10 @@ pub struct Cell {
     pub file: RegisterFile,
     /// Instructions in the program before allocation.
     pub instrs: usize,
+    /// Whether the cell exhausts the spill-round bound (the known defect),
+    /// which makes one allocation cost seconds: it is timed once per run
+    /// while the other cells are timed repeatedly.
+    pub once: bool,
 }
 
 /// A closed-loop workload's inputs.
@@ -73,9 +77,6 @@ pub struct Suite {
     pub expected: Vec<Option<Value>>,
     /// Every request of one pass.
     pub cells: Vec<Cell>,
-    /// Cells timed on a lane of their own, beside the lane that takes
-    /// every other cell.
-    pub solo: Vec<usize>,
     /// Whether the frequencies are interpreter profiles (where the cost
     /// model's estimate must equal the replayed overhead exactly).
     pub profiled: bool,
@@ -109,6 +110,17 @@ pub const LARGE_FN_STMTS: [usize; 3] = [100, 400, 800];
 /// exhausts the spill-round bound and degrades.
 const BASE_DEFECT_STMTS: usize = 400;
 
+/// Whether `family` exhausts the spill-round bound at `stmts` (measured on
+/// the pinned programs: base about 34 s, optimistic about 26 s and
+/// reconstruction about 4 s before their fallbacks, at ~970 instructions).
+fn exhausts_bound(family: Family, stmts: usize) -> bool {
+    stmts == BASE_DEFECT_STMTS
+        && matches!(
+            family,
+            Family::Base | Family::Optimistic | Family::ImprovedRecon
+        )
+}
+
 /// Whether `large-fn` runs `family` at `stmts`. Base stops at the ~1k
 /// function where it exhausts the spill-round bound. Optimistic and priority
 /// stop there too: one ~2k allocation of theirs runs for minutes, past the
@@ -126,7 +138,6 @@ fn finish(
     programs: Vec<Program>,
     profiled: bool,
     cells: Vec<Cell>,
-    solo: Vec<usize>,
     gen_s: f64,
 ) -> (Suite, SetupCost) {
     let t = thread_cpu_s();
@@ -165,7 +176,6 @@ fn finish(
         freqs,
         expected,
         cells,
-        solo,
         profiled,
     };
     (suite, cost)
@@ -196,19 +206,12 @@ pub fn large_fn() -> (Suite, SetupCost) {
                     family,
                     file: RegisterFile::mips_full(),
                     instrs: instrs(&programs[i]),
+                    once: exhausts_bound(family, stmts),
                 });
             }
         }
     }
-    // The base allocator's ~1k function spends about as long exhausting
-    // the spill-round bound as every other cell together, so it gets the
-    // second core.
-    let solo = cells
-        .iter()
-        .position(|c| c.family == Family::Base && LARGE_FN_STMTS[c.program] == BASE_DEFECT_STMTS)
-        .into_iter()
-        .collect();
-    finish(programs, false, cells, solo, gen_s)
+    finish(programs, false, cells, gen_s)
 }
 
 /// `spec-suite`: the 14 SPEC-like programs at scale 1.0 × the five
@@ -229,11 +232,12 @@ pub fn spec_suite() -> (Suite, SetupCost) {
                     family,
                     file,
                     instrs: instrs(p),
+                    once: false,
                 });
             }
         }
     }
-    finish(programs, true, cells, Vec::new(), gen_s)
+    finish(programs, true, cells, gen_s)
 }
 
 /// Whether two interpreter results are the same value (floats compared by
@@ -261,7 +265,22 @@ where
     R: Send,
     S: Send,
 {
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    par_pull(threads, |i| items.get(i), init, |s, i, item| f(s, i, item))
+}
+
+/// Like [`par_map`], but item `i` is `next(i)`, taken while it is `Some`:
+/// for work whose length is only known while it runs.
+pub fn par_pull<T, R, S>(
+    threads: usize,
+    next: impl Fn(usize) -> Option<T> + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, T) -> R + Sync,
+) -> (Vec<R>, Vec<S>)
+where
+    R: Send,
+    S: Send,
+{
+    let taken = std::sync::atomic::AtomicUsize::new(0);
     let per_thread: Vec<(Vec<(usize, R)>, S)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
             .map(|_| {
@@ -269,11 +288,9 @@ where
                     let mut state = init();
                     let mut out = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&mut state, i, &items[i])));
+                        let i = taken.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = next(i) else { break };
+                        out.push((i, f(&mut state, i, item)));
                     }
                     (out, state)
                 })
@@ -284,7 +301,7 @@ where
             .map(|h| h.join().expect("benchmark worker threads do not panic"))
             .collect()
     });
-    let mut results: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    let mut results: Vec<(usize, R)> = Vec::new();
     let mut states = Vec::new();
     for (out, state) in per_thread {
         results.extend(out);

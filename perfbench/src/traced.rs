@@ -4,15 +4,17 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ccra_analysis::FrequencyInfo;
+use ccra_analysis::{FrequencyInfo, Value};
 use ccra_ir::Program;
 use ccra_machine::{CostModel, RegisterFile};
-use ccra_regalloc::{AllocatorConfig, FuncAllocation, Overhead};
+use ccra_regalloc::{AllocError, AllocatorConfig, FuncAllocation, Overhead};
 
+use crate::gate::{self, Allocated, Verdict};
 use crate::replay::{reference_function, replay_function, replay_matches};
 use crate::report::Report;
 use crate::spans::{At, Recorder};
-use crate::stats::loglog_slope;
+use crate::stats::{loglog_slope, median};
+use crate::suite::SetupCost;
 
 /// One program replayed from outside and allocated by the library.
 pub struct Replay {
@@ -83,6 +85,117 @@ pub fn replay_program(
     })
 }
 
+/// One request of a traced run: a program to allocate and gate.
+pub struct Request<'a> {
+    /// A label for failure messages.
+    pub label: String,
+    /// The program.
+    pub program: &'a Program,
+    /// Its block frequencies.
+    pub freq: &'a FrequencyInfo,
+    /// The value the original program returns.
+    pub expected: &'a Option<Value>,
+    /// The register file.
+    pub file: &'a RegisterFile,
+    /// The allocator configuration.
+    pub config: AllocatorConfig,
+    /// Whether `freq` is an interpreter profile.
+    pub profiled: bool,
+}
+
+/// What one traced request produced.
+pub struct Traced {
+    /// The request's label.
+    pub label: String,
+    /// The replay, or the library's error.
+    pub replay: Result<Replay, AllocError>,
+    /// The gate's verdict on the library's allocation.
+    pub verdict: Option<Verdict>,
+}
+
+/// Replays `r` from outside under a `request` span numbered `req`, then
+/// runs the gate (checker under spans, interpreter replay) on the result.
+pub fn trace_request(rec: &mut Recorder, req: u64, r: Request<'_>) -> Traced {
+    let at = At {
+        req,
+        func: 0,
+        round: 0,
+        size: r
+            .program
+            .functions()
+            .map(|(_, f)| f.num_insts() as u64)
+            .sum(),
+        parent: None,
+    };
+    let root = rec.open("request", at);
+    let at = at.under(root);
+    let replay = replay_program(r.program, r.freq, r.file, &r.config, rec, at);
+    let verdict = replay.as_ref().ok().map(|rp| {
+        let a = Allocated {
+            label: r.label.clone(),
+            program: r.program,
+            freq: r.freq,
+            rewritten: &rp.rewritten,
+            per_func: &rp.per_func,
+        };
+        let mut v = gate::check(&a, Some((&mut *rec, at)));
+        gate::replay(&a, r.expected, rp.weighted, r.profiled, &mut v);
+        v
+    });
+    rec.close(root);
+    Traced {
+        label: r.label,
+        replay,
+        verdict,
+    }
+}
+
+/// Merges the workers' spans, fails the run on every replay mismatch,
+/// allocation error and gate failure, and records the allocator, analysis,
+/// checker and set-up layer metrics.
+pub fn finish_traced(
+    epoch: Instant,
+    recs: Vec<Recorder>,
+    traced: Vec<Traced>,
+    setups: &[SetupCost],
+    report: &mut Report,
+) -> Recorder {
+    let mut rec = Recorder::new(epoch);
+    for r in recs {
+        rec.absorb(r);
+    }
+    let mut reference_s = 0.0;
+    let mut verdicts = Vec::new();
+    for t in traced {
+        match t.replay {
+            Ok(r) => {
+                reference_s += r.reference_s;
+                for m in r.mismatches {
+                    report.fail(format!("{}: {m}", t.label));
+                }
+            }
+            Err(e) => report.fail(format!("{}: allocation failed: {e}", t.label)),
+        }
+        verdicts.extend(t.verdict);
+    }
+    gate::tally(&verdicts, report);
+    rec.add(
+        "regalloc.check.violations",
+        verdicts.iter().map(|v| v.violations as f64).sum(),
+    );
+    layer_metrics(&rec, reference_s, report);
+    let med = |f: fn(&SetupCost) -> f64| median(&setups.iter().map(f).collect::<Vec<_>>());
+    report.put("workloads.gen_s", med(|s| s.gen_s), "s");
+    report.put("analysis.freq.busy_s", med(|s| s.freq_s), "s");
+    report.put("analysis.interp.busy_s", med(|s| s.interp_s), "s");
+    report.put(
+        "analysis.interp.steps",
+        med(|s| s.interp_steps as f64),
+        "count",
+    );
+    rec
+}
+
 /// Growth exponent of the spans named `name`, summed per
 /// `(request, function, round)` and sized by the body they worked on.
 fn growth(rec: &Recorder, name: &str) -> f64 {
@@ -101,7 +214,7 @@ fn growth(rec: &Recorder, name: &str) -> f64 {
 /// Records every allocator, analysis and checker layer metric from the
 /// merged spans of a traced run. `reference_s` is the untraced time of the
 /// same allocations through the library's entry points.
-pub fn layer_metrics(rec: &Recorder, reference_s: f64, report: &mut Report) {
+fn layer_metrics(rec: &Recorder, reference_s: f64, report: &mut Report) {
     for layer in [
         "analysis.liveness",
         "analysis.webs",
