@@ -50,7 +50,8 @@ pub const MAX_STMTS: usize = 200;
 /// (`eval::traffic::Rng::pareto`).
 const PARETO_SHAPE: f64 = 1.5;
 /// The cache budget: below the bytes the stream's fresh programs would
-/// keep resident, so entries are evicted and some resubmissions miss.
+/// keep resident, so entries are evicted and some resubmissions miss (a
+/// 20 s run evicts 360–396 of the 603–625 functions it stores).
 pub const CACHE_BUDGET_BYTES: u64 = 4 << 20;
 /// Latency quantiles are taken per window of this many seconds of due
 /// times, and the run reports their median over the windows, so a burst of

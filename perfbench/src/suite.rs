@@ -110,9 +110,10 @@ pub const LARGE_FN_STMTS: [usize; 3] = [100, 400, 800];
 /// exhausts the spill-round bound and degrades.
 const BASE_DEFECT_STMTS: usize = 400;
 
-/// Whether `family` exhausts the spill-round bound at `stmts` (measured on
-/// the pinned programs: base about 34 s, optimistic about 26 s and
-/// reconstruction about 4 s before their fallbacks, at ~970 instructions).
+/// Whether `family` exhausts the spill-round bound at `stmts`. On the pinned
+/// ~970-instruction program, one thread of a 2-core Xeon VM takes about
+/// 34 s (base), 26 s (optimistic) and 4 s (reconstruction) to reach the
+/// bound and fall back.
 fn exhausts_bound(family: Family, stmts: usize) -> bool {
     stmts == BASE_DEFECT_STMTS
         && matches!(
