@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use ccra_regalloc::{allocate_program, AllocError, ProgramAllocation};
 
+use crate::calib;
 use crate::gate::{self, Allocated, Verdict};
 use crate::report::Report;
 use crate::spans::Recorder;
@@ -13,9 +14,10 @@ use crate::suite::{par_map, par_pull, Family, SetupCost, Suite};
 use crate::traced::{finish_traced, trace_request, Request};
 use crate::{serve, setup_metrics, Options, SLO_MS, WORKERS};
 
-/// Every cell not marked [`crate::suite::Cell::once`] is timed at least
-/// this many times; its allocation time is the median.
-const MIN_SAMPLES: usize = 3;
+/// Every cell not marked [`crate::suite::Cell::once`] (and every distinct
+/// `serve-mixed` program) is timed at least this many times; its
+/// allocation and checker times are the medians.
+pub const MIN_SAMPLES: usize = 3;
 
 /// The cells with those timed once (the costliest) first, then by size,
 /// ties broken by a seed shuffle.
@@ -89,20 +91,24 @@ pub fn alloc_metrics(instrs: &[usize], alloc_s: &[f64], verdicts: &[Verdict], re
     );
 }
 
-/// One timed allocation of a cell, plus (on the cell's first sample) its
-/// allocation and the checker's verdict on it.
+/// One timed allocation of a cell in a pass: its CPU seconds (with where
+/// they began in the reference timeline) and the checker's verdict on it,
+/// plus, on the cell's first pass, the allocation.
 type Sample = (
     usize,
+    usize,
+    calib::Mark,
     f64,
-    Option<Result<(ProgramAllocation, Verdict), AllocError>>,
+    Result<(Verdict, Option<ProgramAllocation>), AllocError>,
 );
 
 /// The untraced run: timed passes over the cells on [`WORKERS`] threads,
 /// then the untimed interpreter replay. The first pass takes every cell,
-/// costliest first, and times the checker on each allocation; later passes
-/// take the cells not timed once, until [`MIN_SAMPLES`] passes are done and
-/// `--seconds` have passed. Allocation and checker calls are timed in
-/// thread CPU time.
+/// costliest first; later passes take the cells not timed once, until
+/// [`MIN_SAMPLES`] passes are done and `--seconds` have passed. Every pass
+/// runs the checker on the allocation it makes. Allocation and checker
+/// calls are timed in thread CPU time, scaled to the nominal host speed
+/// (see [`calib`]).
 pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Report) {
     let n = suite.cells.len();
     let mut rng = Rng::new(opts.seed, 1);
@@ -128,6 +134,7 @@ pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Rep
         next,
         || (),
         |_, _, (pass, ci)| {
+            let mark = calib::mark();
             let cell = &suite.cells[ci];
             let t = thread_cpu_s();
             let out = allocate_program(
@@ -137,13 +144,11 @@ pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Rep
                 &cell.family.config(),
             );
             let secs = thread_cpu_s() - t;
-            let checked = (pass == 0).then(|| {
-                out.map(|out| {
-                    let verdict = gate::check(&allocated(suite, ci, &out), None);
-                    (out, verdict)
-                })
+            let checked = out.map(|out| {
+                let verdict = gate::check(&allocated(suite, ci, &out), None);
+                (verdict, (pass == 0).then_some(out))
             });
-            (ci, secs, checked)
+            (ci, pass, mark, secs, checked)
         },
     );
     println!(
@@ -152,13 +157,42 @@ pub fn run(suite: &Suite, setups: &[SetupCost], opts: &Options, report: &mut Rep
         start.elapsed().as_secs_f64()
     );
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut check_samples: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut outs: Vec<Option<(ProgramAllocation, Verdict)>> = vec![None; n];
-    for (ci, secs, checked) in results {
-        samples[ci].push(secs);
-        match checked {
-            Some(Ok(done)) => outs[ci] = Some(done),
-            Some(Err(e)) => report.fail(format!("cell {ci}: allocation failed: {e}")),
-            None => {}
+    // A later pass that fails where the first passed is reported once,
+    // with the cell's verdict.
+    let mut later_problems: Vec<Vec<String>> = vec![Vec::new(); n];
+    for (ci, pass, mark, secs, checked) in results {
+        samples[ci].push(calib::at_nominal(mark, secs));
+        let checked = checked.map(|(mut verdict, out)| {
+            verdict.check_s = calib::at_nominal(mark, verdict.check_s);
+            (verdict, out)
+        });
+        match (pass, checked) {
+            (0, Ok((verdict, out))) => {
+                check_samples[ci].push(verdict.check_s);
+                outs[ci] = out.map(|out| (out, verdict));
+            }
+            (0, Err(e)) => report.fail(format!("cell {ci}: allocation failed: {e}")),
+            (_, Ok((verdict, _))) => {
+                check_samples[ci].push(verdict.check_s);
+                if later_problems[ci].is_empty() {
+                    later_problems[ci] = verdict.problems;
+                }
+            }
+            (_, Err(e)) => {
+                if later_problems[ci].is_empty() {
+                    later_problems[ci] = vec![format!("cell {ci}: allocation failed: {e}")];
+                }
+            }
+        }
+    }
+    for (ci, done) in outs.iter_mut().enumerate() {
+        if let Some((_, verdict)) = done {
+            verdict.check_s = median(&check_samples[ci]);
+            if verdict.problems.is_empty() {
+                verdict.problems = std::mem::take(&mut later_problems[ci]);
+            }
         }
     }
 

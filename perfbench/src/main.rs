@@ -16,6 +16,7 @@
 //! The benchmark drives `ccra-workloads`, `ccra-analysis` and
 //! `ccra-regalloc` only through their public functions.
 
+mod calib;
 mod closed;
 mod gate;
 mod replay;
@@ -36,7 +37,7 @@ use suite::SetupCost;
 pub const SLO_MS: f64 = 250.0;
 /// Each run sets up at least this many times, and until the set-ups add up
 /// to [`SETUP_MIN_S`]; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
 /// See [`SETUPS`].
 const SETUP_MIN_S: f64 = 0.5;
 /// Threads for the gate and the traced replay: the two cores the
@@ -173,20 +174,31 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Records `setup_s`: the median set-up of the run.
+/// Records `setup_s`, the median set-up of the run at the nominal host
+/// speed, and the run's median reference timing (see [`calib`]).
 pub fn setup_metrics(setups: &[SetupCost], report: &mut Report) {
-    let totals: Vec<f64> = setups.iter().map(|s| s.total_s).collect();
+    let totals: Vec<f64> = setups.iter().map(|s| s.nominal_s).collect();
     report.put("setup_s", stats::median(&totals), "s");
+    report.put("host.ref_ms", calib::reference_s() * 1e3, "ms");
 }
 
 /// Repeats a set-up (see [`SETUPS`]), keeping the last result.
 fn set_up<T>(mut f: impl FnMut() -> (T, SetupCost)) -> (T, Vec<SetupCost>) {
-    let mut costs: Vec<SetupCost> = Vec::new();
+    let mut costs: Vec<(calib::Mark, SetupCost)> = Vec::new();
     loop {
+        let mark = calib::mark();
         let (value, cost) = f();
-        costs.push(cost);
-        let spent: f64 = costs.iter().map(|c| c.total_s).sum();
+        costs.push((mark, cost));
+        let spent: f64 = costs.iter().map(|(_, c)| c.total_s).sum();
         if costs.len() >= SETUPS && (spent >= SETUP_MIN_S || costs.len() >= 200) {
+            calib::close();
+            let costs = costs
+                .into_iter()
+                .map(|(mark, c)| SetupCost {
+                    nominal_s: calib::at_nominal(mark, c.total_s),
+                    ..c
+                })
+                .collect();
             return (value, costs);
         }
     }

@@ -19,7 +19,8 @@ use ccra_regalloc::{
 };
 use ccra_workloads::{random_program, FuzzConfig};
 
-use crate::closed::alloc_metrics;
+use crate::calib;
+use crate::closed::{alloc_metrics, MIN_SAMPLES};
 use crate::gate::{self, Allocated, Verdict};
 use crate::report::Report;
 use crate::spans::Recorder;
@@ -182,6 +183,7 @@ pub fn setup(seed: u64, seconds: f64) -> (Stream, SetupCost) {
     }
     let cost = SetupCost {
         total_s: gen_s + freq_s + interp_s,
+        nominal_s: 0.0,
         gen_s,
         freq_s,
         interp_s,
@@ -460,11 +462,16 @@ pub fn run(
             .expect("fresh entries completed")
     };
     // Allocation and checker costs are measured on this thread, in CPU
-    // time, away from the queue; the latencies above carry the queueing.
-    // The allocation must equal what the service returned.
-    let (alloc_s, checked): (Vec<f64>, Vec<Verdict>) = fresh
-        .iter()
-        .map(|&i| {
+    // time scaled to the nominal host speed (see `calib`), away from the
+    // queue; the latencies above carry the queueing. Every distinct
+    // program is timed once in each of MIN_SAMPLES passes over them all,
+    // and its times are the medians. The allocation must equal what the
+    // service returned.
+    let mut timed: Vec<(usize, calib::Mark, f64, f64)> = Vec::new();
+    let mut checked: Vec<Verdict> = Vec::with_capacity(fresh.len());
+    for pass in 0..MIN_SAMPLES {
+        for (k, &i) in fresh.iter().enumerate() {
+            let mark = calib::mark();
             let e = &stream.pool[i];
             let t = thread_cpu_s();
             let own = allocate_program(
@@ -480,9 +487,25 @@ pub fn run(
                     "pool entry {i}: the service's allocation differs from allocate_program's"
                 ));
             }
-            (secs, v)
-        })
-        .unzip();
+            timed.push((k, mark, secs, v.check_s));
+            if pass == 0 {
+                checked.push(v);
+            } else if checked[k].problems.is_empty() {
+                checked[k].problems = v.problems;
+            }
+        }
+    }
+    calib::close();
+    let mut alloc_samples: Vec<Vec<f64>> = vec![Vec::new(); fresh.len()];
+    let mut check_samples: Vec<Vec<f64>> = vec![Vec::new(); fresh.len()];
+    for (k, mark, secs, check_s) in timed {
+        alloc_samples[k].push(calib::at_nominal(mark, secs));
+        check_samples[k].push(calib::at_nominal(mark, check_s));
+    }
+    let alloc_s: Vec<f64> = alloc_samples.iter().map(|s| median(s)).collect();
+    for (v, s) in checked.iter_mut().zip(&check_samples) {
+        v.check_s = median(s);
+    }
     let (verdicts, _) = par_map(
         WORKERS,
         &fresh,

@@ -87,6 +87,9 @@ pub struct Suite {
 pub struct SetupCost {
     /// The whole set-up.
     pub total_s: f64,
+    /// The whole set-up at the nominal host speed (see [`crate::calib`]),
+    /// once the run has its reference timings.
+    pub nominal_s: f64,
     /// Generating the programs.
     pub gen_s: f64,
     /// Computing block frequencies.
@@ -167,6 +170,7 @@ fn finish(
     let interp_s = thread_cpu_s() - t;
     let cost = SetupCost {
         total_s: gen_s + freq_s + interp_s,
+        nominal_s: 0.0,
         gen_s,
         freq_s,
         interp_s,
